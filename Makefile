@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-one test race cover bench bench-json bench-floor load-smoke scenario-smoke autotune-smoke cluster-smoke cluster-chaos repro repro-quick fuzz stress clean
+.PHONY: all build vet lint lint-one test race perfbench-check cover bench bench-json bench-floor load-smoke scenario-smoke autotune-smoke cluster-smoke cluster-chaos repro repro-quick fuzz stress clean
 
 all: build vet lint test
 
@@ -39,6 +39,13 @@ test:
 
 race:
 	$(GO) test -race ./internal/concurrent/ ./internal/cachesim/ ./internal/experiments/
+
+# Benchmark-harness gate: perfbench/ is a module of its own (it imports
+# gccache/internal/... through a replace directive), so ./... above never
+# builds it. Vet and test it here so an internal API change cannot break
+# the benchmark unnoticed.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Load-generator smoke: gcload's selfcheck (open + batch modes, full
 # accounting verification) under the race detector — the fastest way to

@@ -1,6 +1,7 @@
 package gccache_test
 
 import (
+	"context"
 	"testing"
 
 	"gccache"
@@ -30,10 +31,14 @@ func BenchmarkRunTrace(b *testing.B) {
 	g, tr := runTraceWorkload(b)
 	u := model.ItemUniverse(g, tr.Universe())
 	c := gccache.NewIBLPEvenSplitBounded(4096, g, u)
+	ctx, o := context.Background(), gccache.RunOptions{Cold: true, Universe: u}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st := gccache.RunColdBounded(c, tr, u)
+		st, err := gccache.Run(ctx, c, tr, o)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if st.Misses == 0 {
 			b.Fatal("implausible: zero misses")
 		}
@@ -46,10 +51,14 @@ func BenchmarkRunTrace(b *testing.B) {
 func BenchmarkRunTraceGeneric(b *testing.B) {
 	g, tr := runTraceWorkload(b)
 	c := gccache.NewIBLPEvenSplit(4096, g)
+	ctx, o := context.Background(), gccache.RunOptions{Cold: true}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st := gccache.RunCold(c, tr)
+		st, err := gccache.Run(ctx, c, tr, o)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if st.Misses == 0 {
 			b.Fatal("implausible: zero misses")
 		}
@@ -57,20 +66,24 @@ func BenchmarkRunTraceGeneric(b *testing.B) {
 }
 
 // BenchmarkSweep measures the chunked work-stealing sweep engine on a
-// 64-point grid, one pooled dense IBLP per worker reused (via the
-// RunColdBounded reset) across every point the worker claims.
+// 64-point grid, one pooled dense IBLP per worker reused (via the Cold
+// replay's reset) across every point the worker claims.
 func BenchmarkSweep(b *testing.B) {
 	g, tr := runTraceWorkload(b)
 	u := model.ItemUniverse(g, tr.Universe())
+	ctx, o := context.Background(), gccache.RunOptions{Cold: true, Universe: u}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		gccache.Sweep(64, 0, func() gccache.Cache {
+		err := gccache.Sweep(ctx, 64, 0, nil, func() gccache.Cache {
 			return gccache.NewIBLPEvenSplitBounded(4096, g, u)
 		}, func(pt int, c gccache.Cache) {
-			if st := gccache.RunColdBounded(c, tr, u); st.Misses == 0 {
-				b.Fatal("implausible: zero misses")
+			if st, _ := gccache.Run(ctx, c, tr, o); st.Misses == 0 {
+				b.Error("implausible: zero misses")
 			}
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 }

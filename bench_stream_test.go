@@ -26,6 +26,7 @@ func BenchmarkRunStream(b *testing.B) {
 		b.Fatal(err)
 	}
 	enc := buf.Bytes()
+	ctx, o := context.Background(), gccache.RunOptions{Cold: true, Universe: u}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -33,7 +34,7 @@ func BenchmarkRunStream(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		st, err := gccache.RunColdStreamBounded(c, sc, u)
+		st, err := gccache.RunStream(ctx, c, sc, o)
 		if err != nil {
 			b.Fatal(err)
 		}

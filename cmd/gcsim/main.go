@@ -182,7 +182,10 @@ func main() {
 			if serr != nil {
 				fatal(serr)
 			}
-			st = gccache.RunColdProbed(mk(), tr, suite)
+			var rerr error
+			if st, rerr = gccache.Run(ctx, mk(), tr, gccache.RunOptions{Cold: true, Probe: suite}); rerr != nil {
+				fatal(fmt.Errorf("probed replay of %s: %w", name, rerr))
+			}
 			dumps = append(dumps, probedRun{policy: st.Policy, suite: suite})
 		default:
 			if prev, ok := done[name]; ok {
@@ -190,7 +193,7 @@ func main() {
 				break
 			}
 			var rerr error
-			st, rerr = cachesim.RunColdCtx(ctx, mk(), tr)
+			st, rerr = cachesim.Run(ctx, mk(), tr, cachesim.RunOptions{Cold: true})
 			if rerr != nil {
 				saveCkpt()
 				hint := ""
@@ -296,7 +299,7 @@ func runScenario(path string, k, B int, policies string, flagSeed int64, optWant
 		if !ok {
 			fatal(fmt.Errorf("unknown policy %q", name))
 		}
-		st, rerr := cachesim.RunColdStream(mk(), s)
+		st, rerr := cachesim.RunStream(context.Background(), mk(), s, cachesim.RunOptions{Cold: true})
 		if rerr != nil {
 			fatal(rerr)
 		}

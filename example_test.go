@@ -1,18 +1,22 @@
 package gccache_test
 
 import (
+	"context"
 	"fmt"
 
 	"gccache"
 )
 
-// ExampleRunCold demonstrates the basic simulation loop: an IBLP cache
+// ExampleRun demonstrates the basic simulation loop: an IBLP cache
 // over 4-item blocks serving a trace with perfect spatial locality.
-func ExampleRunCold() {
+func ExampleRun() {
 	geo := gccache.NewFixedGeometry(4)
 	c := gccache.NewIBLP(8, 8, geo)
 	tr := gccache.Trace{0, 1, 2, 3, 4, 5, 6, 7}
-	st := gccache.RunCold(c, tr)
+	st, err := gccache.Run(context.Background(), c, tr, gccache.RunOptions{Cold: true})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("misses=%d spatial-hits=%d\n", st.Misses, st.SpatialHits)
 	// Output: misses=2 spatial-hits=6
 }
@@ -25,8 +29,11 @@ func ExampleNewBlockLRU() {
 	itemCache := gccache.NewItemLRU(8)
 	tr := gccache.Trace{0, 4, 8}               // three blocks, one item each
 	tr = append(tr, gccache.Trace{0, 4, 8}...) // repeat
-	fmt.Println("block-lru misses:", gccache.RunCold(blockCache, tr).Misses)
-	fmt.Println("item-lru misses:", gccache.RunCold(itemCache, tr).Misses)
+	ctx, cold := context.Background(), gccache.RunOptions{Cold: true}
+	blockStats, _ := gccache.Run(ctx, blockCache, tr, cold)
+	itemStats, _ := gccache.Run(ctx, itemCache, tr, cold)
+	fmt.Println("block-lru misses:", blockStats.Misses)
+	fmt.Println("item-lru misses:", itemStats.Misses)
 	// Output:
 	// block-lru misses: 6
 	// item-lru misses: 3
@@ -66,7 +73,7 @@ func ExampleNewValidator() {
 	geo := gccache.NewFixedGeometry(4)
 	v := gccache.NewValidator(gccache.NewGCM(16, geo, 1), geo)
 	tr, _ := gccache.GenerateWorkload("cyclic:n=32,len=5000", 1)
-	gccache.Run(v, tr)
+	gccache.Run(context.Background(), v, tr, gccache.RunOptions{})
 	fmt.Println("violations:", v.Err())
 	// Output: violations: <nil>
 }

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -57,14 +58,18 @@ func main() {
 		// The paper's IBLP: a line layer in front of a row layer.
 		gccache.NewIBLPEvenSplit(cacheSize, geo),
 	}
+	// Nothing cancels this context, so Run cannot fail and its error is
+	// dropped.
+	ctx, cold := context.Background(), gccache.RunOptions{Cold: true}
 	perPhase := [][3]float64{}
 	for _, c := range designs {
-		st := gccache.RunCold(c, app)
+		st, _ := gccache.Run(ctx, c, app, cold)
 		fmt.Printf("%-24s %10d %12.4f %13d\n", st.Policy, st.Misses, st.MissRatio(), st.SpatialHits)
 		// Per-phase breakdown for the summary below.
 		var ratios [3]float64
 		for pi, ph := range []trace.Trace{matrix, chase, hot} {
-			ratios[pi] = gccache.RunCold(c, ph).MissRatio()
+			phSt, _ := gccache.Run(ctx, c, ph, cold)
+			ratios[pi] = phSt.MissRatio()
 		}
 		perPhase = append(perPhase, ratios)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -55,7 +56,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res := stack.Run(app)
+		res, err := stack.Run(context.Background(), app)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("== %s ==\n%s\n\n", d.name, res)
 	}
 	fmt.Println("reading: designs that operate on whole rows (row cache, footprint)")

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -40,9 +41,12 @@ func main() {
 		lb := gccache.FaultRateLowerBound(k, f, g)
 		ub := gccache.IBLPFaultRateUpperBound(k/2, k/2, B, f, g)
 
-		iblp := gccache.RunCold(gccache.NewIBLPEvenSplit(k, geo), tr)
-		lru := gccache.RunCold(gccache.NewItemLRU(k), tr)
-		blk := gccache.RunCold(gccache.NewBlockLRU(k, geo), tr)
+		// Nothing cancels this context, so Run cannot fail and its error
+		// is dropped.
+		ctx, cold := context.Background(), gccache.RunOptions{Cold: true}
+		iblp, _ := gccache.Run(ctx, gccache.NewIBLPEvenSplit(k, geo), tr, cold)
+		lru, _ := gccache.Run(ctx, gccache.NewItemLRU(k), tr, cold)
+		blk, _ := gccache.Run(ctx, gccache.NewBlockLRU(k, geo), tr, cold)
 
 		fmt.Printf("== %s ==\n", wl.name)
 		fmt.Printf("  measured spatial-locality ratio f/g: %.2f (1 = none, B = %d = max)\n", ratio, B)

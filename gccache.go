@@ -63,7 +63,7 @@ func NewTableGeometry(blocks [][]Item) (*model.Table, error) { return model.NewT
 // ItemUniverse expands an upper bound on *requested* item IDs to cover
 // every item a block-loading policy may bring in (the whole block of
 // each requested item). Pass the result — not the raw Trace.Universe —
-// to the *Bounded constructors and RunBounded/RunColdBounded. A zero
+// to the *Bounded constructors and RunOptions.Universe. A zero
 // return means no finite bound is derivable; use the generic path.
 func ItemUniverse(g Geometry, universe int) int { return model.ItemUniverse(g, universe) }
 
@@ -78,29 +78,23 @@ type (
 	Stats = cachesim.Stats
 )
 
-// Run replays tr through c and returns statistics; RunCold resets first.
-func Run(c Cache, tr Trace) Stats     { return cachesim.Run(c, tr) }
-func RunCold(c Cache, tr Trace) Stats { return cachesim.RunCold(c, tr) }
+// RunOptions selects how Run, RunStream and RunFile set up a replay.
+// Cold resets the cache first. Universe > 0 puts the recorder on its
+// allocation-free dense path for item IDs in [0, Universe); the bound
+// must cover every item the policy may LOAD, not just those requested,
+// so expand Trace.Universe with ItemUniverse. A non-nil Probe is
+// attached to both the policy (when it implements
+// cachesim.Instrumented — all paper policies do) and the recorder,
+// yielding the complete two-view event stream, and is detached from the
+// policy when the replay returns.
+type RunOptions = cachesim.RunOptions
 
-// RunBounded and RunColdBounded are Run and RunCold with the recorder on
-// its allocation-free dense path for item IDs in [0, universe). The bound
-// must cover every item the policy may LOAD, not just those requested:
-// block-loading policies pull in whole blocks, so expand Trace.Universe
-// with model.ItemUniverse(g, tr.Universe()) before passing it here.
-func RunBounded(c Cache, tr Trace, universe int) Stats {
-	return cachesim.RunBounded(c, tr, universe)
-}
-func RunColdBounded(c Cache, tr Trace, universe int) Stats {
-	return cachesim.RunColdBounded(c, tr, universe)
-}
-
-// RunBoundedCtx and RunColdBoundedCtx are the bounded replays with
-// cooperative cancellation (see RunCtx for the error contract).
-func RunBoundedCtx(ctx context.Context, c Cache, tr Trace, universe int) (Stats, error) {
-	return cachesim.RunBoundedCtx(ctx, c, tr, universe)
-}
-func RunColdBoundedCtx(ctx context.Context, c Cache, tr Trace, universe int) (Stats, error) {
-	return cachesim.RunColdBoundedCtx(ctx, c, tr, universe)
+// Run replays tr through c under o and returns the statistics. It polls
+// ctx on a stride that keeps the per-access path allocation-free and,
+// if the context ends mid-replay, returns the partial statistics with
+// ctx's error; a nil error means the statistics cover the whole trace.
+func Run(ctx context.Context, c Cache, tr Trace, o RunOptions) (Stats, error) {
+	return cachesim.Run(ctx, c, tr, o)
 }
 
 // Streaming replay (see DESIGN.md, "Serving & streaming"): replaying a
@@ -129,40 +123,18 @@ func NewTraceTextScanner(r io.Reader) *TraceTextScanner { return trace.NewTextSc
 // NewSliceSource adapts an in-memory Trace to the TraceSource shape.
 func NewSliceSource(tr Trace) TraceSource { return trace.NewSliceSource(tr) }
 
-// RunStream replays src through c and returns the statistics together
-// with the source's terminal error; RunColdStream resets c first. The
-// bounded variants put the recorder on its dense allocation-free path
-// (see RunBounded for the universe contract).
-func RunStream(c Cache, src TraceSource) (Stats, error)     { return cachesim.RunStream(c, src) }
-func RunColdStream(c Cache, src TraceSource) (Stats, error) { return cachesim.RunColdStream(c, src) }
-func RunStreamBounded(c Cache, src TraceSource, universe int) (Stats, error) {
-	return cachesim.RunStreamBounded(c, src, universe)
-}
-func RunColdStreamBounded(c Cache, src TraceSource, universe int) (Stats, error) {
-	return cachesim.RunColdStreamBounded(c, src, universe)
+// RunStream is Run over a TraceSource: it returns the statistics
+// together with the source's terminal error (or ctx's, when the context
+// ends first).
+func RunStream(ctx context.Context, c Cache, src TraceSource, o RunOptions) (Stats, error) {
+	return cachesim.RunStream(ctx, c, src, o)
 }
 
-// RunStreamCtx is RunStream with cooperative cancellation (see RunCtx
-// for the err == nil contract); the Cold and Bounded variants follow
-// the same naming scheme as the in-memory family.
-func RunStreamCtx(ctx context.Context, c Cache, src TraceSource) (Stats, error) {
-	return cachesim.RunStreamCtx(ctx, c, src)
-}
-func RunColdStreamCtx(ctx context.Context, c Cache, src TraceSource) (Stats, error) {
-	return cachesim.RunColdStreamCtx(ctx, c, src)
-}
-func RunStreamBoundedCtx(ctx context.Context, c Cache, src TraceSource, universe int) (Stats, error) {
-	return cachesim.RunStreamBoundedCtx(ctx, c, src, universe)
-}
-func RunColdStreamBoundedCtx(ctx context.Context, c Cache, src TraceSource, universe int) (Stats, error) {
-	return cachesim.RunColdStreamBoundedCtx(ctx, c, src, universe)
-}
-
-// RunFile opens path, streams the gctrace binary format through c, and
-// closes the file — the one-call entry point for replaying traces
-// larger than memory. Universe > 0 selects the bounded recorder.
-func RunFile(ctx context.Context, c Cache, path string, universe int) (Stats, error) {
-	return cachesim.RunFile(ctx, c, path, universe)
+// RunFile opens path, streams the gctrace binary format through c under
+// o, and closes the file — the one-call entry point for replaying
+// traces larger than memory.
+func RunFile(ctx context.Context, c Cache, path string, o RunOptions) (Stats, error) {
+	return cachesim.RunFile(ctx, c, path, o)
 }
 
 // Observability (internal/obs; see DESIGN.md, "Observability").
@@ -184,78 +156,31 @@ func NewProbeSuite(spec string, universe int) (*ProbeSuite, error) {
 	return obs.NewSuite(spec, universe)
 }
 
-// RunProbed and RunColdProbed are Run and RunCold with p attached to
-// both the policy (when it implements cachesim.Instrumented — all
-// paper policies do) and the recorder, yielding the complete two-view
-// event stream. The probe is detached from the cache afterwards.
-func RunProbed(c Cache, tr Trace, p Probe) Stats {
-	return cachesim.RunProbed(c, tr, p)
-}
-func RunColdProbed(c Cache, tr Trace, p Probe) Stats {
-	return cachesim.RunColdProbed(c, tr, p)
-}
-
-// RunProbedCtx and RunColdProbedCtx are the probed replays with
-// cooperative cancellation; the probe is detached even when the replay
-// is cut short.
-func RunProbedCtx(ctx context.Context, c Cache, tr Trace, p Probe) (Stats, error) {
-	return cachesim.RunProbedCtx(ctx, c, tr, p)
-}
-func RunColdProbedCtx(ctx context.Context, c Cache, tr Trace, p Probe) (Stats, error) {
-	return cachesim.RunColdProbedCtx(ctx, c, tr, p)
-}
-
 // SweepStats collects per-worker chunk/index/timing statistics from
-// SweepObserved.
+// Sweep.
 type SweepStats = cachesim.SweepStats
 
-// Sweep runs fn(i) for i in [0, n) on a pool of workers with per-worker
-// reusable state (chunked work-stealing; workers ≤ 0 means GOMAXPROCS).
-func Sweep[W any](n, workers int, newWorker func() W, fn func(i int, w W)) {
-	cachesim.Sweep(n, workers, newWorker, fn)
-}
-
-// SweepObserved is Sweep with per-worker engine statistics recorded
-// into st (pass nil to observe nothing — then it is exactly Sweep).
-func SweepObserved[W any](n, workers int, st *SweepStats, newWorker func() W, fn func(i int, w W)) {
-	cachesim.SweepObserved(n, workers, st, newWorker, fn)
-}
-
-// SweepObservedCtx is SweepObserved under a context (see SweepCtx for
-// the chunk-boundary cancellation contract).
-func SweepObservedCtx[W any](ctx context.Context, n, workers int, st *SweepStats, newWorker func() W, fn func(i int, w W)) error {
-	return cachesim.SweepObservedCtx(ctx, n, workers, st, newWorker, fn)
-}
-
-// SweepCaches is Sweep with one pooled Cache per worker, Reset before
-// every grid point.
-func SweepCaches(n, workers int, build func() Cache, fn func(i int, c Cache)) {
-	cachesim.SweepCaches(n, workers, build, fn)
-}
-
-// SweepCachesCtx is SweepCaches under a context.
-func SweepCachesCtx(ctx context.Context, n, workers int, build func() Cache, fn func(i int, c Cache)) error {
-	return cachesim.SweepCachesCtx(ctx, n, workers, build, fn)
+// Sweep runs fn(i, w) for i in [0, n) on a pool of workers with
+// per-worker reusable state (chunked work-stealing; workers ≤ 0 means
+// GOMAXPROCS). Cancellation stops workers at the next chunk boundary
+// and returns ctx's error; a sweep whose every chunk was already
+// claimed completes and returns nil. A non-nil st records per-worker
+// engine statistics; nil observes nothing.
+func Sweep[W any](ctx context.Context, n, workers int, st *SweepStats, newWorker func() W, fn func(i int, w W)) error {
+	return cachesim.Sweep(ctx, n, workers, st, newWorker, fn)
 }
 
 // RunSeeds replays tr under one cache per seed in parallel and returns
 // the per-seed miss ratios; caches implementing cachesim.Reseeder are
-// pooled per worker instead of rebuilt per seed.
-func RunSeeds(build func(seed int64) Cache, tr Trace, seeds []int64) []float64 {
-	return cachesim.RunSeeds(build, tr, seeds)
+// pooled per worker instead of rebuilt per seed. Cancellation abandons
+// the remaining seeds and returns ctx's error with the ratios computed
+// so far (entries for seeds that never completed are zero).
+func RunSeeds(ctx context.Context, build func(seed int64) Cache, tr Trace, seeds []int64) ([]float64, error) {
+	return cachesim.RunSeeds(ctx, build, tr, seeds)
 }
 
-// RunSeedsCtx is RunSeeds under a context: cancellation abandons the
-// remaining seeds and returns ctx's error with the ratios computed so
-// far (entries for seeds that never ran are zero).
-func RunSeedsCtx(ctx context.Context, build func(seed int64) Cache, tr Trace, seeds []int64) ([]float64, error) {
-	return cachesim.RunSeedsCtx(ctx, build, tr, seeds)
-}
-
-// Fault-tolerant execution (see DESIGN.md, "Fault tolerance"). The
-// context-aware variants poll ctx on a stride that keeps the
-// per-access path allocation-free; sweeps check the context before
-// claiming a chunk, so a claimed index is always fully processed.
+// Fault-tolerant execution (see DESIGN.md, "Fault tolerance"): sweeps
+// that survive panicking grid points or resume from a snapshot.
 type (
 	// Quarantine records one grid point abandoned after exhausting its
 	// retries, with the recovered panic value.
@@ -267,24 +192,7 @@ type (
 	SweepCheckpointConfig = cachesim.SweepCheckpointConfig
 )
 
-// RunCtx and RunColdCtx are Run and RunCold with cooperative
-// cancellation: they return the partial statistics and ctx's error if
-// the context ends mid-replay.
-func RunCtx(ctx context.Context, c Cache, tr Trace) (Stats, error) {
-	return cachesim.RunCtx(ctx, c, tr)
-}
-func RunColdCtx(ctx context.Context, c Cache, tr Trace) (Stats, error) {
-	return cachesim.RunColdCtx(ctx, c, tr)
-}
-
-// SweepCtx is Sweep under a context: cancellation stops workers at the
-// next chunk boundary and returns ctx's error; a sweep whose every
-// chunk was already claimed completes and returns nil.
-func SweepCtx[W any](ctx context.Context, n, workers int, newWorker func() W, fn func(i int, w W)) error {
-	return cachesim.SweepCtx(ctx, n, workers, newWorker, fn)
-}
-
-// SweepHardened is SweepObserved with per-point panic recovery:
+// SweepHardened is Sweep with per-point panic recovery:
 // panicking points are retried under retry's backoff and, when retries
 // are exhausted, quarantined (recorded in st and returned, sorted by
 // index) while the rest of the grid completes.

@@ -1,6 +1,7 @@
 package gccache_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -17,7 +18,10 @@ func TestQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := gccache.RunCold(c, tr)
+	st, err := gccache.Run(context.Background(), c, tr, gccache.RunOptions{Cold: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st.Accesses != 20000 {
 		t.Fatalf("accesses = %d", st.Accesses)
 	}
@@ -48,7 +52,10 @@ func TestFacadePoliciesShareInterface(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range caches {
-		st := gccache.RunCold(c, tr)
+		st, err := gccache.Run(context.Background(), c, tr, gccache.RunOptions{Cold: true})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if st.Accesses != 5000 {
 			t.Errorf("%s: accesses %d", c.Name(), st.Accesses)
 		}

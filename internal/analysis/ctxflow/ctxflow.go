@@ -1,9 +1,12 @@
 // Package ctxflow implements the gclint analyzer for context plumbing
-// on blocking entry points. The repo's convention is twin APIs: Run and
-// RunCtx, Sweep and SweepCtx — the bare form for scripts, the Ctx form
-// for anything long-running that must be cancellable (the fault-tolerant
-// execution layer depends on it). This analyzer keeps the convention
-// from eroding as entry points are added:
+// on blocking entry points. Anything long-running must be cancellable
+// (the fault-tolerant execution layer depends on it), so the repo's
+// convention is that a blocking entry point takes a context.Context —
+// cachesim's Run, RunStream, Sweep and RunSeeds all take one first. An
+// entry point may instead come as a twin pair, a bare form for scripts
+// beside a <Name>Ctx form that takes the context (opt.Exact and
+// opt.ExactCtx). This analyzer keeps the convention from eroding as
+// entry points are added:
 //
 //   - an exported function or method whose name starts with a blocking
 //     prefix (Run, Sweep, Replay, Exact) must either take a

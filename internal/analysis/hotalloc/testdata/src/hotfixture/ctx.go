@@ -3,7 +3,7 @@ package hotfixture
 import "context"
 
 // replayCtx stands in for the cancellation-aware replay entry points
-// (cachesim.RunCtx and friends): a hot loop that takes its context as
+// (cachesim.Run and RunStream): a hot loop that takes its context as
 // an interface parameter.
 func replayCtx(ctx context.Context) error { return ctx.Err() }
 

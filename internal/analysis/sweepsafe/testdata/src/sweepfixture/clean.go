@@ -1,6 +1,7 @@
 package sweepfixture
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 )
@@ -23,7 +24,7 @@ func goroutineArg(jobs []int) {
 // index.
 func perIndexSlot(n int) []int {
 	out := make([]int, n)
-	Sweep(n, 0, func() int { return 0 }, func(i int, w int) {
+	Sweep(context.Background(), n, 0, nil, func() int { return 0 }, func(i int, w int) {
 		out[i] = i * i
 	})
 	return out
@@ -34,7 +35,7 @@ func perIndexSlot(n int) []int {
 func perIndexStructField(n int) int {
 	type cell struct{ value int }
 	cells := make([]cell, n)
-	Sweep(n, 0, func() int { return 0 }, func(i int, w int) {
+	Sweep(context.Background(), n, 0, nil, func() int { return 0 }, func(i int, w int) {
 		cells[i].value = i
 	})
 	return len(cells)
@@ -43,7 +44,7 @@ func perIndexStructField(n int) int {
 // perWorkerState mutates only the worker's own pooled state.
 func perWorkerState(n int) {
 	type worker struct{ scratch []int }
-	Sweep(n, 0, func() *worker { return &worker{} }, func(i int, w *worker) {
+	Sweep(context.Background(), n, 0, nil, func() *worker { return &worker{} }, func(i int, w *worker) {
 		w.scratch = append(w.scratch, i)
 	})
 }

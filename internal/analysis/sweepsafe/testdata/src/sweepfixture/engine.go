@@ -6,12 +6,18 @@
 //gclint:sweep
 package sweepfixture
 
+import "context"
+
+// SweepStats mimics cachesim.SweepStats.
+type SweepStats struct{}
+
 // Sweep mimics cachesim.Sweep: fn(i, w) with a per-worker state value.
-func Sweep[W any](n, workers int, newWorker func() W, fn func(i int, w W)) {
+func Sweep[W any](ctx context.Context, n, workers int, st *SweepStats, newWorker func() W, fn func(i int, w W)) error {
 	w := newWorker()
 	for i := 0; i < n; i++ {
 		fn(i, w)
 	}
+	return ctx.Err()
 }
 
 // ParallelFor mimics cachesim.ParallelFor.

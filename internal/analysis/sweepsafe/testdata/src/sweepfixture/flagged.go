@@ -1,6 +1,9 @@
 package sweepfixture
 
-import "sync"
+import (
+	"context"
+	"sync"
+)
 
 // goroutineLoopVar spawns goroutines that read the loop variable from
 // the enclosing scope instead of receiving it as an argument.
@@ -45,7 +48,7 @@ func sharedScalar(n int) int {
 // race even on distinct keys.
 func sharedMap(n int) map[int]int {
 	out := make(map[int]int, n)
-	Sweep(n, 0, func() int { return 0 }, func(i int, w int) {
+	Sweep(context.Background(), n, 0, nil, func() int { return 0 }, func(i int, w int) {
 		out[i] = i * i // want `Sweep worker writes captured variable out`
 	})
 	return out
@@ -56,7 +59,7 @@ func sharedMap(n int) map[int]int {
 func wrongSlot(n int) []int {
 	out := make([]int, n)
 	next := 0
-	Sweep(n, 0, func() int { return 0 }, func(i int, w int) {
+	Sweep(context.Background(), n, 0, nil, func() int { return 0 }, func(i int, w int) {
 		out[next] = i // want `Sweep worker writes out\[...\] at an index not derived from its point-index parameter`
 		next++        // want `Sweep worker writes captured variable next`
 	})

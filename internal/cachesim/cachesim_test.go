@@ -1,6 +1,7 @@
 package cachesim
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 
@@ -12,7 +13,6 @@ import (
 type fakeCache struct {
 	script  []Access
 	pos     int
-	resets  int
 	present map[model.Item]bool
 }
 
@@ -25,7 +25,7 @@ func (f *fakeCache) Access(it model.Item) Access {
 func (f *fakeCache) Contains(it model.Item) bool { return f.present[it] }
 func (f *fakeCache) Len() int                    { return len(f.present) }
 func (f *fakeCache) Capacity() int               { return 4 }
-func (f *fakeCache) Reset()                      { f.resets++ }
+func (f *fakeCache) Reset()                      {}
 
 func TestRecorderSplitsSpatialAndTemporalHits(t *testing.T) {
 	rec := NewRecorder("p")
@@ -94,22 +94,6 @@ func TestStatsRatiosAndAdd(t *testing.T) {
 	}
 }
 
-func TestRunAndRunCold(t *testing.T) {
-	f := &fakeCache{script: []Access{
-		{Loaded: []model.Item{1}},
-		{Hit: true},
-	}}
-	s := Run(f, trace.Trace{1, 1})
-	if s.Policy != "fake" || s.Accesses != 2 || s.Hits != 1 || s.Misses != 1 {
-		t.Fatalf("stats = %+v", s)
-	}
-	f2 := &fakeCache{script: []Access{{Hit: true}}}
-	RunCold(f2, trace.Trace{9})
-	if f2.resets != 1 {
-		t.Errorf("RunCold resets = %d, want 1", f2.resets)
-	}
-}
-
 func TestParallelForCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 64} {
 		var sum atomic.Int64
@@ -144,7 +128,10 @@ func TestRunSeeds(t *testing.T) {
 	build := func(seed int64) Cache {
 		return &fakeDeterministic{}
 	}
-	ratios := RunSeeds(build, tr, []int64{1, 2, 3})
+	ratios, err := RunSeeds(context.Background(), build, tr, []int64{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(ratios) != 3 {
 		t.Fatalf("ratios = %v", ratios)
 	}

@@ -20,28 +20,35 @@ func (hitCache) Capacity() int            { return 1 }
 func (hitCache) Reset()                   {}
 
 // TestRunCtxZeroAllocSteadyState pins the fault-tolerance contract that
-// cancellation support stays off the hot path: the per-access replay
-// loop of runCtx — context poll every cancelStride accesses included —
-// must not allocate. A regression here would show up as allocations
-// proportional to trace length.
+// cancellation support stays off the hot path: Run's per-access loop —
+// context poll every cancelStride accesses included — must not
+// allocate. A bounded replay allocates only its Recorder's bitset, once
+// per replay (the Recorder itself lives in Run's frame), so a replay
+// sixteen times longer must cost exactly as many allocations as a short
+// one; a regression would show up as allocations proportional to trace
+// length.
 func TestRunCtxZeroAllocSteadyState(t *testing.T) {
 	const universe = 256
-	tr := make(trace.Trace, 4*cancelStride)
-	for i := range tr {
-		tr[i] = model.Item(i % universe)
-	}
-	rec := NewRecorderBounded("hit", universe)
 	ctx := context.Background()
+	o := RunOptions{Universe: universe}
 	var c hitCache
-	if _, err := runCtx(ctx, c, tr, rec); err != nil { // warm-up
-		t.Fatal(err)
-	}
-	if avg := testing.AllocsPerRun(20, func() {
-		rec.Reset("hit")
-		if _, err := runCtx(ctx, c, tr, rec); err != nil {
-			t.Fatal(err)
+	allocs := func(strides int) float64 {
+		tr := make(trace.Trace, strides*cancelStride)
+		for i := range tr {
+			tr[i] = model.Item(i % universe)
 		}
-	}); avg != 0 {
-		t.Errorf("runCtx allocates %.2f allocs per %d-access replay, want 0", avg, len(tr))
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Run(ctx, c, tr, o); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(1), allocs(16)
+	if long != short {
+		t.Errorf("Run allocates %.2f per %d-access replay but %.2f per %d-access replay, want 0 per access",
+			long, 16*cancelStride, short, cancelStride)
+	}
+	if short > 1 {
+		t.Errorf("Run allocates %.2f per replay, want at most the Recorder's bitset (1)", short)
 	}
 }

@@ -8,75 +8,23 @@ import (
 	"gccache/internal/trace"
 )
 
-// This file is the streaming half of the trace runner: Run and friends
-// require the whole trace.Trace resident in memory, RunStream replays
-// straight off a trace.Source (typically a trace.Scanner over a file)
-// in O(1) memory. Statistics are identical — the stream-vs-slice
-// differential tests assert byte-identical Stats — and the per-access
-// path keeps the zero-allocation budget of the dense in-memory replay.
+// This file is the streaming half of the trace runner: Run requires the
+// whole trace.Trace resident in memory, RunStream replays straight off a
+// trace.Source (typically a trace.Scanner over a file) in O(1) memory.
+// Statistics are identical — the stream-vs-slice differential tests
+// assert byte-identical Stats — and the per-access path keeps the
+// zero-allocation budget of the dense in-memory replay.
 
-// RunStream replays src through c (without resetting it first) and
-// returns the statistics together with the source's terminal error.
-// A nil error means the whole stream was replayed; on a source error
-// the statistics cover the requests replayed before the failure.
-func RunStream(c Cache, src trace.Source) (Stats, error) {
-	return runStream(context.Background(), c, src, NewRecorder(c.Name()))
-}
-
-// RunColdStream resets c and then replays src.
-func RunColdStream(c Cache, src trace.Source) (Stats, error) {
-	c.Reset()
-	return RunStream(c, src)
-}
-
-// RunStreamCtx is RunStream with cooperative cancellation: the replay
-// polls ctx every cancelStride accesses and, when the context ends,
-// returns the statistics accumulated so far together with ctx's error
-// (see RunCtx for the err == nil contract).
-func RunStreamCtx(ctx context.Context, c Cache, src trace.Source) (Stats, error) {
-	return runStream(ctx, c, src, NewRecorder(c.Name()))
-}
-
-// RunColdStreamCtx resets c and then replays src under ctx.
-func RunColdStreamCtx(ctx context.Context, c Cache, src trace.Source) (Stats, error) {
-	c.Reset()
-	return RunStreamCtx(ctx, c, src)
-}
-
-// RunStreamBounded is RunStream with a bounded-universe Recorder (see
-// RunBounded for the universe contract).
-func RunStreamBounded(c Cache, src trace.Source, universe int) (Stats, error) {
-	return runStream(context.Background(), c, src, NewRecorderBounded(c.Name(), universe))
-}
-
-// RunColdStreamBounded resets c and then replays src with a bounded
-// Recorder.
-func RunColdStreamBounded(c Cache, src trace.Source, universe int) (Stats, error) {
-	c.Reset()
-	return RunStreamBounded(c, src, universe)
-}
-
-// RunStreamBoundedCtx is RunStreamBounded with cooperative cancellation.
-func RunStreamBoundedCtx(ctx context.Context, c Cache, src trace.Source, universe int) (Stats, error) {
-	return runStream(ctx, c, src, NewRecorderBounded(c.Name(), universe))
-}
-
-// RunColdStreamBoundedCtx resets c and then replays src with a bounded
-// Recorder under ctx.
-func RunColdStreamBoundedCtx(ctx context.Context, c Cache, src trace.Source, universe int) (Stats, error) {
-	c.Reset()
-	return RunStreamBoundedCtx(ctx, c, src, universe)
-}
-
-// runStream is the streaming replay core. Context polling piggybacks on
-// the same stride as runCtx, so cancellation support costs one counter
-// test per access; the loop itself must stay allocation-free (the
+// RunStream replays src through c under o and returns the statistics
+// together with the source's terminal error. A nil error means the
+// whole stream was replayed; on a source error, or when ctx ends (polled
+// on the same stride as Run), the statistics cover the requests replayed
+// before the stop. The loop must stay allocation-free per access (the
 // ZeroAlloc regression tests pin it).
-//
-//gclint:hotpath
-func runStream(ctx context.Context, c Cache, src trace.Source, rec *Recorder) (Stats, error) {
-	i := 0
-	for src.Next() {
+func RunStream(ctx context.Context, c Cache, src trace.Source, o RunOptions) (Stats, error) {
+	rec := o.begin(c)
+	defer o.end(c)
+	for i := 0; src.Next(); i++ {
 		if i&(cancelStride-1) == 0 {
 			if err := ctx.Err(); err != nil {
 				return rec.Stats(), err
@@ -84,16 +32,14 @@ func runStream(ctx context.Context, c Cache, src trace.Source, rec *Recorder) (S
 		}
 		it := src.Item()
 		rec.Observe(it, c.Access(it))
-		i++
 	}
 	return rec.Stats(), src.Err()
 }
 
-// RunFile opens path, streams the gctrace binary format through c, and
-// closes the file — the one-call entry point for replaying traces
-// larger than memory. Universe > 0 selects the bounded (dense-path)
-// Recorder; pass 0 when item IDs are unknown.
-func RunFile(ctx context.Context, c Cache, path string, universe int) (Stats, error) {
+// RunFile opens path, streams the gctrace binary format through c under
+// o, and closes the file — the one-call entry point for replaying traces
+// larger than memory.
+func RunFile(ctx context.Context, c Cache, path string, o RunOptions) (Stats, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return Stats{Policy: c.Name()}, fmt.Errorf("cachesim: open trace: %w", err)
@@ -103,19 +49,5 @@ func RunFile(ctx context.Context, c Cache, path string, universe int) (Stats, er
 	if err != nil {
 		return Stats{Policy: c.Name()}, err
 	}
-	if universe > 0 {
-		return RunStreamBoundedCtx(ctx, c, sc, universe)
-	}
-	return RunStreamCtx(ctx, c, sc)
-}
-
-// StreamStats summarizes a trace.Source without driving a cache —
-// the streaming counterpart of trace.Summarize for the request-count
-// side (distinct-item statistics need memory proportional to the
-// universe and stay on the in-memory path).
-func StreamStats(src trace.Source) (requests int64, err error) {
-	for src.Next() {
-		requests++
-	}
-	return requests, src.Err()
+	return RunStream(ctx, c, sc, o)
 }

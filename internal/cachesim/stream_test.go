@@ -32,59 +32,6 @@ func streamFixture(t *testing.T, tr trace.Trace) string {
 	return path
 }
 
-// TestRunStreamMatchesRunAllPolicies is the stream-vs-slice equivalence
-// gate: replaying a trace from disk through RunStream must produce
-// Stats byte-identical to Run over the loaded trace, for every dense
-// policy. Randomized GCM is covered too — both replays see the same
-// seed, so the coin flips line up.
-func TestRunStreamMatchesRunAllPolicies(t *testing.T) {
-	geo := model.NewFixed(8)
-	tr, err := workload.FromSpec("blockruns:blocks=128,B=8,run=4,len=40000", 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := model.ItemUniverse(geo, tr.Universe())
-	path := streamFixture(t, tr)
-
-	builders := map[string]func() cachesim.Cache{
-		"item-lru":  func() cachesim.Cache { return policy.NewItemLRUBounded(256, u) },
-		"block-lru": func() cachesim.Cache { return policy.NewBlockLRUBounded(256, geo, u) },
-		"iblp":      func() cachesim.Cache { return core.NewIBLPEvenSplitBounded(256, geo, u) },
-		"gcm":       func() cachesim.Cache { return core.NewGCMBounded(256, geo, 42, u) },
-	}
-	for name, build := range builders {
-		t.Run(name, func(t *testing.T) {
-			want := cachesim.RunColdBounded(build(), tr, u)
-
-			f, err := os.Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			sc, err := trace.NewScanner(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := cachesim.RunColdStreamBounded(build(), sc, u)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Errorf("streamed stats differ from in-memory replay:\n  stream: %+v\n  slice:  %+v", got, want)
-			}
-
-			// The generic (map-recorder) stream agrees too.
-			gotGeneric, err := cachesim.RunFile(context.Background(), build(), path, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotGeneric != want {
-				t.Errorf("RunFile stats differ: %+v != %+v", gotGeneric, want)
-			}
-		})
-	}
-}
-
 // TestRunStreamTextSource checks the text scanner drives the engine the
 // same way the binary one does.
 func TestRunStreamTextSource(t *testing.T) {
@@ -97,8 +44,12 @@ func TestRunStreamTextSource(t *testing.T) {
 	if err := tr.WriteText(&text); err != nil {
 		t.Fatal(err)
 	}
-	want := cachesim.RunCold(core.NewIBLPEvenSplit(64, geo), tr)
-	got, err := cachesim.RunColdStream(core.NewIBLPEvenSplit(64, geo), trace.NewTextScanner(&text))
+	ctx, cold := context.Background(), cachesim.RunOptions{Cold: true}
+	want, err := cachesim.Run(ctx, core.NewIBLPEvenSplit(64, geo), tr, cold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := cachesim.RunStream(ctx, core.NewIBLPEvenSplit(64, geo), trace.NewTextScanner(&text), cold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,39 +74,12 @@ func TestRunStreamSourceError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := cachesim.RunColdStream(policy.NewItemLRU(32), sc)
+	st, err := cachesim.RunStream(context.Background(), policy.NewItemLRU(32), sc, cachesim.RunOptions{Cold: true})
 	if err == nil {
 		t.Fatal("truncated stream replayed cleanly")
 	}
 	if st.Accesses == 0 || st.Accesses >= int64(len(tr)) {
 		t.Errorf("partial stats cover %d accesses, want in (0, %d)", st.Accesses, len(tr))
-	}
-}
-
-// TestRunStreamCtxCancel checks streaming replay honours cancellation:
-// a pre-cancelled context stops within one stride and reports ctx's
-// error with partial statistics.
-func TestRunStreamCtxCancel(t *testing.T) {
-	tr := make(trace.Trace, 100_000)
-	for i := range tr {
-		tr[i] = model.Item(i % 256)
-	}
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sc, err := trace.NewScanner(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	st, err := cachesim.RunStreamCtx(ctx, policy.NewItemLRU(32), sc)
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if st.Accesses >= int64(len(tr)) {
-		t.Errorf("cancelled replay still consumed the whole stream (%d accesses)", st.Accesses)
 	}
 }
 
@@ -190,8 +114,7 @@ func TestRunStreamZeroAllocSteadyState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Reset()
-		st, err := cachesim.RunStreamBoundedCtx(ctx, c, sc, universe)
+		st, err := cachesim.RunStream(ctx, c, sc, cachesim.RunOptions{Cold: true, Universe: universe})
 		if err != nil || st.Accesses != int64(len(tr)) {
 			t.Fatalf("accesses=%d err=%v", st.Accesses, err)
 		}

@@ -1,6 +1,7 @@
 package cachesim
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -36,7 +37,7 @@ func TestSweepNewWorkerPanicPropagates(t *testing.T) {
 			t.Errorf("recovered %v, want bad worker", p)
 		}
 	}()
-	Sweep(10, 4, func() int { panic("bad worker") }, func(int, int) {})
+	Sweep(context.Background(), 10, 4, nil, func() int { panic("bad worker") }, func(int, int) {})
 }
 
 func TestSweepPoolsWorkerState(t *testing.T) {
@@ -44,7 +45,7 @@ func TestSweepPoolsWorkerState(t *testing.T) {
 	var built atomic.Int64
 	visited := make([]atomic.Int32, n)
 	workers := 4
-	Sweep(n, workers, func() *int {
+	Sweep(context.Background(), n, workers, nil, func() *int {
 		built.Add(1)
 		v := 0
 		return &v
@@ -64,7 +65,7 @@ func TestSweepPoolsWorkerState(t *testing.T) {
 
 func TestSweepSingleWorkerRunsInOrder(t *testing.T) {
 	var got []int
-	Sweep(5, 1, func() struct{} { return struct{}{} }, func(i int, _ struct{}) {
+	Sweep(context.Background(), 5, 1, nil, func() struct{} { return struct{}{} }, func(i int, _ struct{}) {
 		got = append(got, i)
 	})
 	for i, v := range got {
@@ -74,8 +75,9 @@ func TestSweepSingleWorkerRunsInOrder(t *testing.T) {
 	}
 }
 
-// resetCounter counts Reset calls; used to prove SweepCaches resets the
-// pooled cache before every grid point.
+// resetCounter counts Reset calls; used to prove that a sweep over pooled
+// caches replaying with RunOptions{Cold: true} resets the pooled cache
+// before every grid point.
 type resetCounter struct {
 	fakeDeterministic
 	resets atomic.Int64
@@ -89,13 +91,21 @@ func TestSweepCachesResetsEveryPoint(t *testing.T) {
 		mu     sync.Mutex
 		caches []*resetCounter
 	)
-	SweepCaches(n, 3, func() Cache {
+	ctx := context.Background()
+	err := Sweep(ctx, n, 3, nil, func() Cache {
 		c := &resetCounter{}
 		mu.Lock()
 		caches = append(caches, c)
 		mu.Unlock()
 		return c
-	}, func(i int, c Cache) {})
+	}, func(i int, c Cache) {
+		if _, err := Run(ctx, c, nil, RunOptions{Cold: true}); err != nil {
+			t.Error(err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	total := int64(0)
 	for _, c := range caches {
 		total += c.resets.Load()
@@ -295,11 +305,18 @@ func TestRunSeedsReseedsPooledCaches(t *testing.T) {
 		builds.Add(1)
 		return &seededFake{seed: seed}
 	}
-	got := RunSeeds(build, tr, seeds)
+	ctx, cold := context.Background(), RunOptions{Cold: true}
+	got, err := RunSeeds(ctx, build, tr, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Oracle: a fresh instance per seed, run serially.
 	for i, seed := range seeds {
-		want := RunCold(&seededFake{seed: seed}, tr).MissRatio()
-		if got[i] != want {
+		st, err := Run(ctx, &seededFake{seed: seed}, tr, cold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := st.MissRatio(); got[i] != want {
 			t.Errorf("seed %d: ratio %v, want %v (pooled reuse changed behaviour)", seed, got[i], want)
 		}
 	}
@@ -325,7 +342,7 @@ func TestSweepPooledRace(t *testing.T) {
 		cache *fakeDeterministic
 		buf   []model.Item
 	}
-	Sweep(n, 0, func() *worker {
+	Sweep(context.Background(), n, 0, nil, func() *worker {
 		return &worker{cache: &fakeDeterministic{}}
 	}, func(i int, w *worker) {
 		w.cache.Reset()

@@ -61,7 +61,7 @@ func SweepCheckpointed[W any](ctx context.Context, n, workers int, cfg SweepChec
 		}
 		return checkpoint.Save(cfg.Path, sweepSnapshot(n, cfg.Hash, results))
 	}
-	err := SweepCtx(ctx, n, workers, newWorker, func(i int, w W) {
+	err := Sweep(ctx, n, workers, nil, newWorker, func(i int, w W) {
 		if results[i] != nil {
 			return // restored from the snapshot
 		}

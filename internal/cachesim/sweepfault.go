@@ -78,7 +78,7 @@ func SweepHardened[W any](ctx context.Context, n, workers int, retry RetryPolicy
 		quarantined []Quarantine
 	)
 	type hardWorker struct{ w W }
-	err := SweepObservedCtx(ctx, n, workers, st, func() *hardWorker {
+	err := Sweep(ctx, n, workers, st, func() *hardWorker {
 		return &hardWorker{w: newWorker()}
 	}, func(i int, hw *hardWorker) {
 		for attempt := 0; ; attempt++ {

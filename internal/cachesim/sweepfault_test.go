@@ -17,7 +17,7 @@ func TestSweepCtxCancelledBeforeStart(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int64
-		err := SweepCtx(ctx, 1000, workers, func() struct{} { return struct{}{} },
+		err := Sweep(ctx, 1000, workers, nil, func() struct{} { return struct{}{} },
 			func(int, struct{}) { ran.Add(1) })
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
@@ -31,7 +31,7 @@ func TestSweepCtxCancelledBeforeStart(t *testing.T) {
 func TestSweepCtxStopsEarlyButCompletesClaimedChunks(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
-	err := SweepCtx(ctx, 100000, 4, func() struct{} { return struct{}{} },
+	err := Sweep(ctx, 100000, 4, nil, func() struct{} { return struct{}{} },
 		func(i int, _ struct{}) {
 			if i == 0 {
 				cancel()
@@ -51,7 +51,7 @@ func TestSweepCtxCompleteRunReturnsNilEvenIfCtxDiesAfter(t *testing.T) {
 	// complete sweep into a spurious error.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if err := SweepCtx(ctx, 64, 4, func() struct{} { return struct{}{} },
+	if err := Sweep(ctx, 64, 4, nil, func() struct{} { return struct{}{} },
 		func(int, struct{}) {}); err != nil {
 		t.Fatalf("complete sweep returned %v", err)
 	}
@@ -115,7 +115,7 @@ func TestSweepHardenedQuarantinesExactlyScheduledIndices(t *testing.T) {
 func TestSweepHardenedRetriesMatchFaultFree(t *testing.T) {
 	const n = 2000
 	baseline := make([]int64, n)
-	Sweep(n, 4, func() struct{} { return struct{}{} }, func(i int, _ struct{}) {
+	Sweep(context.Background(), n, 4, nil, func() struct{} { return struct{}{} }, func(i int, _ struct{}) {
 		baseline[i] = int64(i)*7 + 1
 	})
 	for _, workers := range []int{1, 4} {
@@ -188,20 +188,19 @@ func TestRunCtxCancelsMidTrace(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	st, err := RunCtx(ctx, &fakeDeterministic{}, tr)
+	st, err := Run(ctx, &fakeDeterministic{}, tr, RunOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if st.Accesses != 0 {
 		t.Errorf("dead-context run observed %d accesses", st.Accesses)
 	}
-	// An un-cancelled run matches Run exactly.
-	got, err := RunColdCtx(context.Background(), &fakeDeterministic{}, tr)
+	// An un-cancelled run covers the whole trace.
+	got, err := Run(context.Background(), &fakeDeterministic{}, tr, RunOptions{Cold: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := RunCold(&fakeDeterministic{}, tr)
-	if got != want {
-		t.Errorf("RunColdCtx = %+v, want %+v", got, want)
+	if got.Accesses != int64(len(tr)) || got.Misses != int64(len(tr)) {
+		t.Errorf("live run = %+v, want %d accesses, all misses", got, len(tr))
 	}
 }

@@ -1,6 +1,7 @@
 package cachesim
 
 import (
+	"context"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -11,7 +12,7 @@ func TestSweepObservedCoversAllIndices(t *testing.T) {
 		var st SweepStats
 		var hits atomic.Int64
 		seen := make([]atomic.Bool, 1000)
-		SweepObserved(len(seen), workers, &st, func() int { return 0 }, func(i int, _ int) {
+		Sweep(context.Background(), len(seen), workers, &st, func() int { return 0 }, func(i int, _ int) {
 			if seen[i].Swap(true) {
 				t.Errorf("index %d visited twice", i)
 			}
@@ -38,9 +39,9 @@ func TestSweepObservedCoversAllIndices(t *testing.T) {
 
 func TestSweepObservedNilStatsAndEmpty(t *testing.T) {
 	n := 0
-	SweepObserved(100, 2, nil, func() *int { return &n }, func(i int, _ *int) {})
+	Sweep(context.Background(), 100, 2, nil, func() *int { return &n }, func(i int, _ *int) {})
 	st := SweepStats{Workers: make([]SweepWorkerStats, 3)}
-	SweepObserved(0, 2, &st, func() int { return 0 }, func(i int, _ int) {
+	Sweep(context.Background(), 0, 2, &st, func() int { return 0 }, func(i int, _ int) {
 		t.Error("fn called for empty range")
 	})
 	if len(st.Workers) != 0 {
@@ -50,7 +51,7 @@ func TestSweepObservedNilStatsAndEmpty(t *testing.T) {
 
 func TestSweepStatsString(t *testing.T) {
 	var st SweepStats
-	SweepObserved(256, 2, &st, func() int { return 0 }, func(i int, _ int) {})
+	Sweep(context.Background(), 256, 2, &st, func() int { return 0 }, func(i int, _ int) {})
 	s := st.String()
 	for _, want := range []string{"sweep: 2 workers", "worker 0:", "worker 1:", "total:", "imbalance="} {
 		if !strings.Contains(s, want) {

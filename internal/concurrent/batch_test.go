@@ -7,8 +7,6 @@ import (
 	"time"
 
 	"gccache/internal/cachesim"
-	"gccache/internal/core"
-	"gccache/internal/model"
 	"gccache/internal/trace"
 	"gccache/internal/workload"
 )
@@ -238,46 +236,4 @@ func TestReplayEmptyStreams(t *testing.T) {
 	if _, err := ReplayCtx(context.Background(), s, []trace.Trace{{}, {}}, BatchConfig{}); err != nil {
 		t.Fatalf("all-empty batched replay errored: %v", err)
 	}
-}
-
-// BenchmarkReplayBatched measures the batched engine end to end —
-// the ns/op ÷ trace length is the per-access serving cost.
-func BenchmarkReplayBatched(b *testing.B) {
-	geo := model.NewFixed(64)
-	s, err := NewSharded(16, 1<<14, geo, func(per int) cachesim.Cache {
-		return core.NewIBLPEvenSplit(per, geo)
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr := batchFixture(b, "blockruns:blocks=1024,B=64,run=8,len=262144", 3)
-	streams := SplitStreams(tr, 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReplayCtx(context.Background(), s, streams, BatchConfig{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(tr))*float64(b.N)/b.Elapsed().Seconds(), "ops/sec")
-}
-
-// BenchmarkReplayUnbatched is the per-access-lock baseline the batched
-// engine is measured against.
-func BenchmarkReplayUnbatched(b *testing.B) {
-	geo := model.NewFixed(64)
-	s, err := NewSharded(16, 1<<14, geo, func(per int) cachesim.Cache {
-		return core.NewIBLPEvenSplit(per, geo)
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr := batchFixture(b, "blockruns:blocks=1024,B=64,run=8,len=262144", 3)
-	streams := SplitStreams(tr, 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Replay(s, streams)
-	}
-	b.ReportMetric(float64(len(tr))*float64(b.N)/b.Elapsed().Seconds(), "ops/sec")
 }

@@ -1,6 +1,7 @@
 package concurrent
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -71,8 +72,8 @@ func TestSingleShardMatchesFlatPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := cachesim.RunCold(s, tr)
-	want := cachesim.RunCold(flat, tr)
+	got, _ := cachesim.Run(context.Background(), s, tr, cachesim.RunOptions{Cold: true})
+	want, _ := cachesim.Run(context.Background(), flat, tr, cachesim.RunOptions{Cold: true})
 	if got.Misses != want.Misses || got.SpatialHits != want.SpatialHits {
 		t.Errorf("sharded(1) %+v != flat %+v", got, want)
 	}
@@ -146,7 +147,7 @@ func TestShardedConformsToModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cachesim.Run(v, tr)
+	cachesim.Run(context.Background(), v, tr, cachesim.RunOptions{})
 	if err := v.Err(); err != nil {
 		t.Fatal(err)
 	}

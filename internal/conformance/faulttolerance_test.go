@@ -72,7 +72,7 @@ func TestConformanceResetSurvivesInjectedPanic(t *testing.T) {
 	// Fault-free baseline: a fresh cache per cell.
 	want := make([][]byte, len(cells))
 	for ci, c := range cells {
-		st := cachesim.Run(mks[pnames[c.pi]](), wls[wnames[c.wi]])
+		st, _ := cachesim.Run(context.Background(), mks[pnames[c.pi]](), wls[wnames[c.wi]], cachesim.RunOptions{})
 		want[ci] = cachesim.AppendStats(nil, st)
 	}
 
@@ -102,7 +102,8 @@ func TestConformanceResetSurvivesInjectedPanic(t *testing.T) {
 			}
 			tr := wls[wnames[c.wi]]
 			wrapped := &panicAt{Cache: cache, inj: inj, idx: ci, at: len(tr) / 2}
-			got[ci] = cachesim.AppendStats(nil, cachesim.Run(wrapped, tr))
+			st, _ := cachesim.Run(context.Background(), wrapped, tr, cachesim.RunOptions{})
+			got[ci] = cachesim.AppendStats(nil, st)
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -152,14 +153,14 @@ func TestConformanceValidatorAfterInjectedPanic(t *testing.T) {
 				}
 			}()
 			wrapped := &panicAt{Cache: cache, inj: inj, idx: pi, at: len(tr) / 2}
-			cachesim.Run(wrapped, tr)
+			cachesim.Run(context.Background(), wrapped, tr, cachesim.RunOptions{})
 		}()
 		cache.Reset()
 		if rs, ok := cache.(cachesim.Reseeder); ok {
 			rs.Reseed(seed)
 		}
 		v := cachesim.NewValidator(cache, geo)
-		cachesim.Run(v, tr)
+		cachesim.Run(context.Background(), v, tr, cachesim.RunOptions{})
 		if err := v.Err(); err != nil {
 			t.Errorf("%s: validator rejects retry after mid-trace panic: %v", pname, err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -19,7 +20,7 @@ func TestAdaptiveGrowsItemLayerOnTemporalWorkload(t *testing.T) {
 	k := 128
 	c := NewAdaptiveIBLP(k, geo)
 	tr := workload.Stride(100, B, 60000) // 100 single-block items
-	st := cachesim.RunCold(c, tr)
+	st, _ := cachesim.Run(context.Background(), c, tr, cachesim.RunOptions{Cold: true})
 	if c.ItemLayerTarget() <= k/2 {
 		t.Errorf("target %d did not grow above even split %d", c.ItemLayerTarget(), k/2)
 	}
@@ -29,7 +30,7 @@ func TestAdaptiveGrowsItemLayerOnTemporalWorkload(t *testing.T) {
 	}
 	// An even-split fixed IBLP cannot hold the 100-item working set in a
 	// 64-item item layer, and its 8-frame block layer is polluted.
-	fixed := cachesim.RunCold(NewIBLPEvenSplit(k, geo), tr)
+	fixed, _ := cachesim.Run(context.Background(), NewIBLPEvenSplit(k, geo), tr, cachesim.RunOptions{Cold: true})
 	if st.Misses*2 > fixed.Misses {
 		t.Errorf("adaptive %d misses vs fixed even split %d — expected a clear win",
 			st.Misses, fixed.Misses)
@@ -63,14 +64,14 @@ func TestAdaptiveHandlesMixedHotSetPlusScans(t *testing.T) {
 		coldPos++
 	}
 	c := NewAdaptiveIBLP(k, geo)
-	st := cachesim.RunCold(c, tr)
+	st, _ := cachesim.Run(context.Background(), c, tr, cachesim.RunOptions{Cold: true})
 	if c.ItemLayerTarget() <= k/2 {
 		t.Errorf("target %d did not grow to fit the hot set", c.ItemLayerTarget())
 	}
 	if c.ItemLayerTarget() > k-B {
 		t.Errorf("target %d ate the last block frame", c.ItemLayerTarget())
 	}
-	fixed := cachesim.RunCold(NewIBLPEvenSplit(k, geo), tr)
+	fixed, _ := cachesim.Run(context.Background(), NewIBLPEvenSplit(k, geo), tr, cachesim.RunOptions{Cold: true})
 	if st.Misses >= fixed.Misses {
 		t.Errorf("adaptive %d misses vs fixed even split %d", st.Misses, fixed.Misses)
 	}
@@ -100,7 +101,7 @@ func TestAdaptiveConformsToModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cachesim.Run(v, tr)
+	cachesim.Run(context.Background(), v, tr, cachesim.RunOptions{})
 	if err := v.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -119,9 +120,9 @@ func TestAdaptiveCompetitiveAcrossSpectrum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptive := cachesim.RunCold(NewAdaptiveIBLP(k, geo), runs)
-	item := cachesim.RunCold(policy.NewItemLRU(k), runs)
-	block := cachesim.RunCold(policy.NewBlockLRU(k, geo), runs)
+	adaptive, _ := cachesim.Run(context.Background(), NewAdaptiveIBLP(k, geo), runs, cachesim.RunOptions{Cold: true})
+	item, _ := cachesim.Run(context.Background(), policy.NewItemLRU(k), runs, cachesim.RunOptions{Cold: true})
+	block, _ := cachesim.Run(context.Background(), policy.NewBlockLRU(k, geo), runs, cachesim.RunOptions{Cold: true})
 	best := item.Misses
 	if block.Misses < best {
 		best = block.Misses
@@ -134,7 +135,7 @@ func TestAdaptiveCompetitiveAcrossSpectrum(t *testing.T) {
 func TestAdaptiveResetRestoresEvenSplit(t *testing.T) {
 	geo := model.NewFixed(8)
 	c := NewAdaptiveIBLP(64, geo)
-	cachesim.Run(c, workload.Stride(60, 8, 20000))
+	cachesim.Run(context.Background(), c, workload.Stride(60, 8, 20000), cachesim.RunOptions{})
 	if c.ItemLayerTarget() == 32 {
 		t.Skip("target did not move; nothing to verify")
 	}

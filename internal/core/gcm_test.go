@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -102,8 +103,8 @@ func TestGCMDeterministicWithSeed(t *testing.T) {
 	for i := range tr {
 		tr[i] = model.Item(rng.Intn(64))
 	}
-	a := cachesim.RunCold(NewGCM(16, g, 99), tr)
-	b := cachesim.RunCold(NewGCM(16, g, 99), tr)
+	a, _ := cachesim.Run(context.Background(), NewGCM(16, g, 99), tr, cachesim.RunOptions{Cold: true})
+	b, _ := cachesim.Run(context.Background(), NewGCM(16, g, 99), tr, cachesim.RunOptions{Cold: true})
 	if a.Misses != b.Misses {
 		t.Errorf("same seed, different misses: %d vs %d", a.Misses, b.Misses)
 	}
@@ -117,8 +118,8 @@ func TestGCMBeatsPlainMarkingOnSpatialScan(t *testing.T) {
 	for it := model.Item(0); it < 2048; it++ {
 		tr = append(tr, it)
 	}
-	gcm := cachesim.RunCold(NewGCM(64, g, 5), tr)
-	mark := cachesim.RunCold(policy.NewMarking(64, 5), tr)
+	gcm, _ := cachesim.Run(context.Background(), NewGCM(64, g, 5), tr, cachesim.RunOptions{Cold: true})
+	mark, _ := cachesim.Run(context.Background(), policy.NewMarking(64, 5), tr, cachesim.RunOptions{Cold: true})
 	if gcm.Misses*4 > mark.Misses {
 		t.Errorf("GCM %d misses vs marking %d: expected ≈B× gap", gcm.Misses, mark.Misses)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -142,8 +143,8 @@ func TestIBLPZeroBlockLayerIsItemCache(t *testing.T) {
 	for i := range tr {
 		tr[i] = model.Item(rng.Intn(64))
 	}
-	a := cachesim.RunCold(NewIBLP(10, 0, g), tr)
-	b := cachesim.RunCold(policy.NewItemLRU(10), tr)
+	a, _ := cachesim.Run(context.Background(), NewIBLP(10, 0, g), tr, cachesim.RunOptions{Cold: true})
+	b, _ := cachesim.Run(context.Background(), policy.NewItemLRU(10), tr, cachesim.RunOptions{Cold: true})
 	if a.Misses != b.Misses {
 		t.Errorf("IBLP(i=k,b=0) misses %d != ItemLRU %d", a.Misses, b.Misses)
 	}
@@ -156,8 +157,8 @@ func TestIBLPZeroItemLayerIsBlockCache(t *testing.T) {
 	for i := range tr {
 		tr[i] = model.Item(rng.Intn(64))
 	}
-	a := cachesim.RunCold(NewIBLP(0, 12, g), tr)
-	b := cachesim.RunCold(policy.NewBlockLRU(12, g), tr)
+	a, _ := cachesim.Run(context.Background(), NewIBLP(0, 12, g), tr, cachesim.RunOptions{Cold: true})
+	b, _ := cachesim.Run(context.Background(), policy.NewBlockLRU(12, g), tr, cachesim.RunOptions{Cold: true})
 	if a.Misses != b.Misses {
 		t.Errorf("IBLP(i=0) misses %d != BlockLRU %d", a.Misses, b.Misses)
 	}
@@ -229,8 +230,8 @@ func TestIBLPSpatialWorkloadBeatsItemLRU(t *testing.T) {
 			tr = append(tr, it)
 		}
 	}
-	iblp := cachesim.RunCold(NewIBLP(32, 32, g), tr)
-	lru := cachesim.RunCold(policy.NewItemLRU(64), tr)
+	iblp, _ := cachesim.Run(context.Background(), NewIBLP(32, 32, g), tr, cachesim.RunOptions{Cold: true})
+	lru, _ := cachesim.Run(context.Background(), policy.NewItemLRU(64), tr, cachesim.RunOptions{Cold: true})
 	if iblp.Misses >= lru.Misses {
 		t.Errorf("IBLP %d misses, ItemLRU %d: expected IBLP to win on scans",
 			iblp.Misses, lru.Misses)
@@ -249,8 +250,8 @@ func TestIBLPTemporalWorkloadBeatsBlockLRU(t *testing.T) {
 	for rep := 0; rep < 200; rep++ {
 		tr = append(tr, hot...)
 	}
-	iblp := cachesim.RunCold(NewIBLP(16, 16, g), tr)
-	blk := cachesim.RunCold(policy.NewBlockLRU(32, g), tr)
+	iblp, _ := cachesim.Run(context.Background(), NewIBLP(16, 16, g), tr, cachesim.RunOptions{Cold: true})
+	blk, _ := cachesim.Run(context.Background(), policy.NewBlockLRU(32, g), tr, cachesim.RunOptions{Cold: true})
 	if iblp.Misses >= blk.Misses {
 		t.Errorf("IBLP %d misses, BlockLRU %d: expected IBLP to win on hot items",
 			iblp.Misses, blk.Misses)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"gccache/internal/cachesim"
@@ -73,8 +74,12 @@ func AdaptiveStudy(k, B int, seed int64) *Report {
 	results := make([]float64, len(jobs))
 	cell := func(wi, si int) float64 { return results[wi*len(splits)+si] }
 	// Per-worker pooled caches, one per split, built lazily and reused
-	// (RunColdBounded resets before replay) across the worker's cells.
-	cachesim.Sweep(len(jobs), 0, func() []cachesim.Cache {
+	// (a Cold replay resets first) across the worker's cells.
+	// Experiments are one-shot batch runs that nothing cancels: under a
+	// Background context Sweep and Run cannot fail, so their errors are
+	// dropped.
+	ctx := context.Background()
+	cachesim.Sweep(ctx, len(jobs), 0, nil, func() []cachesim.Cache {
 		return make([]cachesim.Cache, len(splits))
 	}, func(j int, pool []cachesim.Cache) {
 		key := jobs[j]
@@ -83,7 +88,8 @@ func AdaptiveStudy(k, B int, seed int64) *Report {
 			cache = splits[key.si].build()
 			pool[key.si] = cache
 		}
-		results[j] = cachesim.RunColdBounded(cache, wls[key.wi].tr, universe).MissRatio()
+		st, _ := cachesim.Run(ctx, cache, wls[key.wi].tr, cachesim.RunOptions{Cold: true, Universe: universe})
+		results[j] = st.MissRatio()
 	})
 	for wi, wl := range wls {
 		bestFixed := 1.0

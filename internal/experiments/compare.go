@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"gccache/internal/cachesim"
@@ -117,7 +118,11 @@ func PolicyShootout(k, B int, seed int64) *Report {
 	// Per-worker pooled caches, lazily built per policy and reset (and
 	// reseeded, for randomized policies) before each reuse, so a worker
 	// replays all its cells without reconstructing a single policy.
-	cachesim.Sweep(len(cells), 0, func() []cachesim.Cache {
+	// Experiments are one-shot batch runs that nothing cancels: under a
+	// Background context Sweep and Run cannot fail, so their errors are
+	// dropped.
+	ctx := context.Background()
+	cachesim.Sweep(ctx, len(cells), 0, nil, func() []cachesim.Cache {
 		return make([]cachesim.Cache, len(builders))
 	}, func(ci int, pool []cachesim.Cache) {
 		c := cells[ci]
@@ -128,7 +133,7 @@ func PolicyShootout(k, B int, seed int64) *Report {
 		} else if rs, ok := cache.(cachesim.Reseeder); ok {
 			rs.Reseed(seed)
 		}
-		st := cachesim.RunColdBounded(cache, wls[c.wi].tr, universe)
+		st, _ := cachesim.Run(ctx, cache, wls[c.wi].tr, cachesim.RunOptions{Cold: true, Universe: universe})
 		cells[ci].stats = st // distinct slot per cell: no lock needed
 	})
 	missRatio := make([][]float64, len(wls))
@@ -244,9 +249,12 @@ func Ablations(k, B int, seed int64) *Report {
 		Title:   "Ablation 1 — §5.1 layer ordering (hot items + cyclic cold blocks)",
 		Headers: []string{"variant", "miss-ratio", "spatial-hits", "temporal-hits"},
 	}
+	// Experiments are one-shot batch runs that nothing cancels: under a
+	// Background context Run cannot fail, so its error is dropped.
+	ctx, cold := context.Background(), cachesim.RunOptions{Cold: true}
 	orderingU := model.ItemUniverse(geo, orderingTr.Universe())
-	real := cachesim.RunColdBounded(core.NewIBLPBounded(i, b, geo, orderingU), orderingTr, orderingU)
-	abl := cachesim.RunCold(core.NewIBLPPromoteAll(i, b, geo), orderingTr)
+	real, _ := cachesim.Run(ctx, core.NewIBLPBounded(i, b, geo, orderingU), orderingTr, cachesim.RunOptions{Cold: true, Universe: orderingU})
+	abl, _ := cachesim.Run(ctx, core.NewIBLPPromoteAll(i, b, geo), orderingTr, cold)
 	ordering.AddRow("iblp (item hits do not touch block layer)", real.MissRatio(),
 		real.SpatialHits, real.TemporalHits)
 	ordering.AddRow("promote-all (violates §5.1)", abl.MissRatio(),
@@ -265,8 +273,8 @@ func Ablations(k, B int, seed int64) *Report {
 		Title:   "Ablation 1b — §5.1 inclusion policy (same workload)",
 		Headers: []string{"variant", "miss-ratio"},
 	}
-	inclStats := cachesim.RunCold(core.NewIBLPInclusive(i, b, geo), orderingTr)
-	exclStats := cachesim.RunCold(core.NewIBLPExclusive(i, b, geo), orderingTr)
+	inclStats, _ := cachesim.Run(ctx, core.NewIBLPInclusive(i, b, geo), orderingTr, cold)
+	exclStats, _ := cachesim.Run(ctx, core.NewIBLPExclusive(i, b, geo), orderingTr, cold)
 	inclusion.AddRow("iblp (neither inclusive nor exclusive)", real.MissRatio())
 	inclusion.AddRow("inclusive (item layer wasted)", inclStats.MissRatio())
 	inclusion.AddRow("exclusive (lifetime holes)", exclStats.MissRatio())
@@ -299,7 +307,7 @@ func Ablations(k, B int, seed int64) *Report {
 	resCh := make([]splitRes, len(fracs))
 	cachesim.ParallelFor(len(fracs), 0, func(fi int) {
 		ii := int(float64(k) * fracs[fi])
-		st := cachesim.RunColdBounded(core.NewIBLPBounded(ii, k-ii, geo, mixU), mixTr, mixU)
+		st, _ := cachesim.Run(ctx, core.NewIBLPBounded(ii, k-ii, geo, mixU), mixTr, cachesim.RunOptions{Cold: true, Universe: mixU})
 		resCh[fi] = splitRes{i: ii, b: k - ii, mr: st.MissRatio()}
 	})
 	results = resCh
@@ -325,8 +333,8 @@ func Ablations(k, B int, seed int64) *Report {
 	// (its marked dead siblings shrink the effective cache).
 	scan := workload.Sequential(0, 100000)
 	scanU := model.ItemUniverse(geo, scan.Universe())
-	gcm := cachesim.RunColdBounded(core.NewGCMBounded(k, geo, seed, scanU), scan, scanU)
-	mark := cachesim.RunCold(policy.NewMarking(k, seed), scan)
+	gcm, _ := cachesim.Run(ctx, core.NewGCMBounded(k, geo, seed, scanU), scan, cachesim.RunOptions{Cold: true, Universe: scanU})
+	mark, _ := cachesim.Run(ctx, policy.NewMarking(k, seed), scan, cold)
 	marking := &render.Table{
 		Title:   "Ablation 3 — GCM's unmarked sibling loads vs classic marking (fresh-block scan)",
 		Headers: []string{"policy", "misses", "miss-ratio"},
@@ -342,8 +350,8 @@ func Ablations(k, B int, seed int64) *Report {
 
 	stride := workload.Stride(k*3/4, B, 100000)
 	strideU := model.ItemUniverse(geo, stride.Universe())
-	gcmStride := cachesim.RunColdBounded(core.NewGCMBounded(k, geo, seed, strideU), stride, strideU)
-	markAllStride := cachesim.RunCold(core.NewGCMMarkAll(k, geo, seed), stride)
+	gcmStride, _ := cachesim.Run(ctx, core.NewGCMBounded(k, geo, seed, strideU), stride, cachesim.RunOptions{Cold: true, Universe: strideU})
+	markAllStride, _ := cachesim.Run(ctx, core.NewGCMMarkAll(k, geo, seed), stride, cold)
 	markAll := &render.Table{
 		Title:   "Ablation 3b — marking loaded siblings (§6.1) on a stride with no spatial locality",
 		Headers: []string{"policy", "misses", "miss-ratio"},

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"gccache/internal/bounds"
@@ -38,7 +39,8 @@ func Figure5Stress(i, b, B, h, length int) *Report {
 			r.Failf("generate share=%v: %v", share, err)
 			continue
 		}
-		st := cachesim.RunCold(core.NewIBLP(i, b, geo), tr)
+		// A Background context never ends, so Run cannot fail.
+		st, _ := cachesim.Run(context.Background(), core.NewIBLP(i, b, geo), tr, cachesim.RunOptions{Cold: true})
 		est := opt.EstimateOPT(tr, geo, h)
 		ratioLow := float64(st.Misses) / float64(est.Upper)
 		t.AddRow(share, st.Misses, est.Upper, est.Lower, ratioLow, ub)

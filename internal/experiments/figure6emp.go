@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -52,7 +53,8 @@ func Figure6Empirical(k, B, h, length int) *Report {
 				return
 			}
 			u := model.ItemUniverse(geo, tr.Universe())
-			st := cachesim.RunColdBounded(core.NewIBLPBounded(i, b, geo, u), tr, u)
+			// A Background context never ends, so Run cannot fail.
+			st, _ := cachesim.Run(context.Background(), core.NewIBLPBounded(i, b, geo, u), tr, cachesim.RunOptions{Cold: true, Universe: u})
 			est := opt.EstimateOPT(tr, geo, h)
 			if est.Upper == 0 {
 				continue

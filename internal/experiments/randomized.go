@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"gccache/internal/adversary"
@@ -76,10 +77,14 @@ func RandomizedComparison(k, B, phases int, seed int64) *Report {
 		Title:   "§6.1/§6.2 reversal on a no-spatial-locality stride (universe ≈ 0.9k)",
 		Headers: []string{"policy", "miss-ratio"},
 	}
+	// Experiments are one-shot batch runs that nothing cancels: under a
+	// Background context Run and RunSeeds cannot fail, so their errors
+	// are dropped.
+	ctx, cold := context.Background(), cachesim.RunOptions{Cold: true}
 	stride := workload.Stride(k*9/10, B, 200000)
-	markSt := cachesim.RunCold(policy.NewMarking(k, seed), stride)
-	gcmSt := cachesim.RunCold(core.NewGCM(k, geo, seed), stride)
-	allSt := cachesim.RunCold(core.NewGCMMarkAll(k, geo, seed), stride)
+	markSt, _ := cachesim.Run(ctx, policy.NewMarking(k, seed), stride, cold)
+	gcmSt, _ := cachesim.Run(ctx, core.NewGCM(k, geo, seed), stride, cold)
+	allSt, _ := cachesim.Run(ctx, core.NewGCMMarkAll(k, geo, seed), stride, cold)
 	pollution.AddRow("item-marking", markSt.MissRatio())
 	pollution.AddRow("gcm", gcmSt.MissRatio())
 	pollution.AddRow("gcm-mark-all", allSt.MissRatio())
@@ -121,7 +126,7 @@ func RandomizedComparison(k, B, phases int, seed int64) *Report {
 		{"gcm", func(s int64) cachesim.Cache { return core.NewGCM(k, geo, s) }},
 		{"item-random", func(s int64) cachesim.Cache { return policy.NewRandomEvict(k, s) }},
 	} {
-		ratios := cachesim.RunSeeds(rp.build, mixed, seeds)
+		ratios, _ := cachesim.RunSeeds(ctx, rp.build, mixed, seeds)
 		sum := stats.Summarize(ratios)
 		variance.AddRow(rp.name, sum.Mean, sum.StdDev, sum.Min, sum.Max)
 		if sum.Mean > 0 && sum.StdDev > 0.25*sum.Mean {

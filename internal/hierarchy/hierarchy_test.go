@@ -1,6 +1,7 @@
 package hierarchy
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -43,7 +44,7 @@ func TestAccessDescends(t *testing.T) {
 
 func TestTrafficAccounting(t *testing.T) {
 	s := twoLevel(t)
-	res := s.Run(workload.Sequential(0, 640)) // 10 rows, one pass
+	res, _ := s.Run(context.Background(), workload.Sequential(0, 640)) // 10 rows, one pass
 	l1 := res.PerLevel[0]
 	l2 := res.PerLevel[1]
 	if l1.Accesses != 640 {
@@ -84,7 +85,8 @@ func TestGCAwareL2BeatsItemL2(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s.Run(workload.MatrixTraversal(64, 256, true, 2))
+		res, _ := s.Run(context.Background(), workload.MatrixTraversal(64, 256, true, 2))
+		return res
 	}
 	gcAware := build(Level{Name: "L2", Cache: core.NewIBLPEvenSplit(2048, rowGeo), MissCost: 100})
 	itemOnly := build(Level{Name: "L2", Cache: policy.NewItemLRU(2048), MissCost: 100})
@@ -103,7 +105,7 @@ func TestThreeLevelStack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := s.Run(workload.CyclicScan(2048, 20000))
+	res, _ := s.Run(context.Background(), workload.CyclicScan(2048, 20000))
 	// Monotone traffic: accesses can only shrink going down.
 	for i := 1; i < len(res.PerLevel); i++ {
 		if res.PerLevel[i].Accesses != res.PerLevel[i-1].Misses {
@@ -118,7 +120,7 @@ func TestThreeLevelStack(t *testing.T) {
 
 func TestResetAndLevelStats(t *testing.T) {
 	s := twoLevel(t)
-	s.Run(workload.Sequential(0, 100))
+	s.Run(context.Background(), workload.Sequential(0, 100))
 	if s.LevelStats(0).Accesses != 100 {
 		t.Error("LevelStats before reset")
 	}

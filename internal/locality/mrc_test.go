@@ -1,6 +1,7 @@
 package locality
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -33,7 +34,8 @@ func TestMissRatioCurveMatchesSimulation(t *testing.T) {
 	sizes := []int{1, 2, 5, 16, 64, 119, 120, 200}
 	curve := MissRatioCurve(tr, sizes)
 	for si, k := range sizes {
-		sim := cachesim.RunCold(policy.NewItemLRU(k), tr).Misses
+		st, _ := cachesim.Run(context.Background(), policy.NewItemLRU(k), tr, cachesim.RunOptions{Cold: true})
+		sim := st.Misses
 		if curve[si] != sim {
 			t.Errorf("k=%d: curve %d != simulated LRU %d", k, curve[si], sim)
 		}
@@ -71,7 +73,8 @@ func TestBlockMissRatioCurveMatchesBlockSimulation(t *testing.T) {
 	}
 	for _, frames := range []int{2, 5, 10, 39} {
 		curve := BlockMissRatioCurve(tr, g, []int{frames})
-		sim := cachesim.RunCold(policy.NewBlockLRU(frames*B, g), tr).Misses
+		st, _ := cachesim.Run(context.Background(), policy.NewBlockLRU(frames*B, g), tr, cachesim.RunOptions{Cold: true})
+		sim := st.Misses
 		if curve[0] != sim {
 			t.Errorf("frames=%d: curve %d != simulated BlockLRU %d", frames, curve[0], sim)
 		}

@@ -755,9 +755,13 @@ func (s *Server) handleEvents(w http.ResponseWriter, _ *http.Request) {
 
 // handleSweep runs a small observed parameter sweep on demand — a live
 // demonstration of the chunked sweep engine's per-worker steal counts
-// and timing, on real per-policy miss-ratio work.
-func (s *Server) handleSweep(w http.ResponseWriter, _ *http.Request) {
+// and timing, on real per-policy miss-ratio work. The sweep and every
+// replay in it run under the request's context, so a client that
+// disconnects stops the work; once that context ends no further rows
+// are written.
+func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	ctx := r.Context()
 	tr := s.tr
 	if len(tr) > 1<<14 {
 		tr = tr[:1<<14]
@@ -768,18 +772,27 @@ func (s *Server) handleSweep(w http.ResponseWriter, _ *http.Request) {
 	}
 	results := make([]float64, len(sizes))
 	var st cachesim.SweepStats
-	cachesim.SweepObserved(len(sizes), runtime.GOMAXPROCS(0), &st,
+	err := cachesim.Sweep(ctx, len(sizes), runtime.GOMAXPROCS(0), &st,
 		func() struct{} { return struct{}{} },
 		func(i int, _ struct{}) {
 			c, err := buildPolicy(s.cfg.Policy, sizes[i], s.geo, s.cfg.Seed)
 			if err != nil {
 				return
 			}
-			results[i] = cachesim.RunCold(c, tr).MissRatio()
+			if run, err := cachesim.Run(ctx, c, tr, cachesim.RunOptions{Cold: true}); err == nil {
+				results[i] = run.MissRatio()
+			}
 		})
+	if err != nil {
+		fmt.Fprintf(w, "on-demand sweep stopped: %v\n", err)
+		return
+	}
 	fmt.Fprintf(w, "on-demand sweep: %s miss ratio over %d cache sizes, %d requests each\n\n",
 		s.cfg.Policy, len(sizes), len(tr))
 	for i, k := range sizes {
+		if ctx.Err() != nil {
+			return
+		}
 		fmt.Fprintf(w, "k=%-8d miss-ratio=%.4f\n", k, results[i])
 	}
 	fmt.Fprintf(w, "\n%s", st.String())

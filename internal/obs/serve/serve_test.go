@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -147,6 +148,25 @@ func TestProbeServeSweep(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("/sweep missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestProbeServeSweepHonoursRequestContext checks that /sweep runs under
+// the request's context: when the client is already gone, the handler
+// stops without printing any miss-ratio rows.
+func TestProbeServeSweepHonoursRequestContext(t *testing.T) {
+	s := newTestServer(t, Config{Policy: "item-lru"})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodGet, "/sweep", nil).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	body := rec.Body.String()
+	if strings.Contains(body, "miss-ratio=") {
+		t.Errorf("/sweep printed rows under a cancelled request context:\n%s", body)
+	}
+	if !strings.Contains(body, context.Canceled.Error()) {
+		t.Errorf("/sweep did not report the cancellation:\n%s", body)
 	}
 }
 

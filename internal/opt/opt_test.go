@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -45,7 +46,8 @@ func TestBeladyNeverWorseThanLRU(t *testing.T) {
 		for i := range tr {
 			tr[i] = model.Item(rng.Intn(u))
 		}
-		lru := cachesim.RunCold(policy.NewItemLRU(k), tr).Misses
+		st, _ := cachesim.Run(context.Background(), policy.NewItemLRU(k), tr, cachesim.RunOptions{Cold: true})
+		lru := st.Misses
 		opt := Belady(tr, k)
 		if opt > lru {
 			t.Fatalf("round %d: Belady %d > LRU %d", round, opt, lru)
@@ -358,7 +360,8 @@ func TestPolicyCostCertifiesRealPolicies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: illegal execution: %v", c.Name(), err)
 		}
-		simCost := cachesim.RunCold(c, tr).Misses
+		st, _ := cachesim.Run(context.Background(), c, tr, cachesim.RunOptions{Cold: true})
+		simCost := st.Misses
 		if cost != simCost {
 			t.Errorf("%s: verified cost %d != simulated %d", c.Name(), cost, simCost)
 		}

@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"context"
+
 	"gccache/internal/cachesim"
 	"gccache/internal/core"
 	"gccache/internal/model"
@@ -38,7 +40,8 @@ func BestIBLPSplit(tr trace.Trace, geo model.Geometry, k int, candidates []int) 
 			continue
 		}
 		seen[i] = true
-		st := cachesim.RunCold(core.NewIBLPBounded(i, k-i, geo, universe), tr)
+		// A Background context never ends, so Run cannot fail.
+		st, _ := cachesim.Run(context.Background(), core.NewIBLPBounded(i, k-i, geo, universe), tr, cachesim.RunOptions{Cold: true})
 		ev := SplitEval{ItemLayer: i, Misses: st.Misses, MissRatio: st.MissRatio()}
 		all = append(all, ev)
 		if best.ItemLayer < 0 || ev.Misses < best.Misses ||

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -86,8 +87,8 @@ func TestAThresholdLargeABehavesLikeItemLRU(t *testing.T) {
 	for i := range tr {
 		tr[i] = model.Item(rng.Intn(40))
 	}
-	at := cachesim.RunCold(NewAThreshold(10, 64, g), tr)
-	lru := cachesim.RunCold(NewItemLRU(10), tr)
+	at, _ := cachesim.Run(context.Background(), NewAThreshold(10, 64, g), tr, cachesim.RunOptions{Cold: true})
+	lru, _ := cachesim.Run(context.Background(), NewItemLRU(10), tr, cachesim.RunOptions{Cold: true})
 	if at.Misses != lru.Misses {
 		t.Errorf("a≥B misses %d != ItemLRU %d", at.Misses, lru.Misses)
 	}

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"context"
 	"testing"
 
 	"gccache/internal/cachesim"
@@ -34,7 +35,7 @@ func TestItemLRUSequentialScanMissesAll(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tr = append(tr, model.Item(i))
 	}
-	s := cachesim.Run(c, tr)
+	s, _ := cachesim.Run(context.Background(), c, tr, cachesim.RunOptions{})
 	if s.Misses != 100 || s.Hits != 0 {
 		t.Errorf("scan: %+v", s)
 	}
@@ -43,7 +44,7 @@ func TestItemLRUSequentialScanMissesAll(t *testing.T) {
 func TestItemLRUWorkingSetFits(t *testing.T) {
 	c := NewItemLRU(4)
 	tr := trace.Trace{0, 1, 2, 3}.Repeat(25)
-	s := cachesim.Run(c, tr)
+	s, _ := cachesim.Run(context.Background(), c, tr, cachesim.RunOptions{})
 	if s.Misses != 4 {
 		t.Errorf("misses = %d, want 4 (cold only)", s.Misses)
 	}

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -48,8 +49,8 @@ func TestRandomEvictDeterministicWithSeed(t *testing.T) {
 	for i := range tr {
 		tr[i] = model.Item(rng.Intn(30))
 	}
-	a := cachesim.RunCold(NewRandomEvict(8, 7), tr)
-	b := cachesim.RunCold(NewRandomEvict(8, 7), tr)
+	a, _ := cachesim.Run(context.Background(), NewRandomEvict(8, 7), tr, cachesim.RunOptions{Cold: true})
+	b, _ := cachesim.Run(context.Background(), NewRandomEvict(8, 7), tr, cachesim.RunOptions{Cold: true})
 	if a.Misses != b.Misses {
 		t.Errorf("same seed, different misses: %d vs %d", a.Misses, b.Misses)
 	}
@@ -171,8 +172,8 @@ func TestClockApproximatesLRU(t *testing.T) {
 	for i := range tr {
 		tr[i] = model.Item(rng.Intn(200))
 	}
-	clock := cachesim.RunCold(NewClock(64), tr)
-	lru := cachesim.RunCold(NewItemLRU(64), tr)
+	clock, _ := cachesim.Run(context.Background(), NewClock(64), tr, cachesim.RunOptions{Cold: true})
+	lru, _ := cachesim.Run(context.Background(), NewItemLRU(64), tr, cachesim.RunOptions{Cold: true})
 	if float64(clock.Misses) > 1.3*float64(lru.Misses) {
 		t.Errorf("CLOCK misses %d vs LRU %d", clock.Misses, lru.Misses)
 	}
